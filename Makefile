@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke bench-gate
+.PHONY: build test race vet check allocs bench-smoke bench-gate
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# allocs re-runs the zero-allocation pins (every test matching "Allocs") at
+# one and two cores: the sharded kernels only hand work to the worker pool,
+# and per-P pool caches only split, once GOMAXPROCS > 1.
+allocs:
+	$(GO) test -run Allocs -cpu 1,2 ./internal/server ./internal/mat ./internal/gda ./internal/nn
 
 # bench-smoke runs every benchmark for exactly one iteration: a cheap guard
 # that the benchmark harness never rots (this includes the observability

@@ -17,8 +17,8 @@ import (
 //     parallel_test.go).
 //  2. Allocation-free steady state. Shard descriptors are plain structs sent
 //     by value over a channel, shard kernels are top-level functions (no
-//     closure captures), and WaitGroups are pooled — a parallel MulInto does
-//     not allocate.
+//     closure captures), and WaitGroups come from a free list — a parallel
+//     MulInto does not allocate.
 //  3. No oversubscription, no deadlock. The pool holds at most
 //     Parallelism()−1 workers; a submitting goroutine always runs one shard
 //     inline and falls back to inline execution when no worker is free, so
@@ -114,7 +114,27 @@ func ensureWorkers(n int) {
 	workersMu.Unlock()
 }
 
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+// wgFree is a free list of shard WaitGroups, one per concurrent sharded
+// call. Unlike a sync.Pool, which every GC empties, it keeps its entries, so
+// a steady-state parallel call never allocates; a WaitGroup that finds the
+// list full is dropped.
+var wgFree = make(chan *sync.WaitGroup, 64)
+
+func getWG() *sync.WaitGroup {
+	select {
+	case wg := <-wgFree:
+		return wg
+	default:
+		return new(sync.WaitGroup)
+	}
+}
+
+func putWG(wg *sync.WaitGroup) {
+	select {
+	case wgFree <- wg:
+	default:
+	}
+}
 
 // runSharded splits [0, n) into at most p contiguous blocks and runs tmpl's
 // kernel on each. The caller's goroutine always executes the first block
@@ -131,7 +151,7 @@ func runSharded(n, p int, tmpl shard) {
 		return
 	}
 	ensureWorkers(p - 1)
-	wg := wgPool.Get().(*sync.WaitGroup)
+	wg := getWG()
 	tmpl.wg = wg
 	chunk := (n + p - 1) / p
 	for lo := chunk; lo < n; lo += chunk {
@@ -149,7 +169,7 @@ func runSharded(n, p int, tmpl shard) {
 	tmpl.lo, tmpl.hi = 0, chunk
 	tmpl.kernel(tmpl)
 	wg.Wait()
-	wgPool.Put(wg)
+	putWG(wg)
 }
 
 // parallelForKernel adapts a ParallelFor closure to the shard interface.

@@ -3,8 +3,11 @@ package mat
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+
+	"faction/internal/testutil"
 )
 
 // withParallelism runs f with the knob (and optionally the shard threshold)
@@ -177,6 +180,29 @@ func mustPanic(t *testing.T, label string, f func()) {
 		}
 	}()
 	f()
+}
+
+// A parallel product must not allocate even when a GC runs between calls: a
+// collection empties every sync.Pool, so per-call state kept in one (as the
+// shard WaitGroups once were) is reallocated after each GC. Pinned at
+// parallelism 2 whatever GOMAXPROCS the test runs under.
+func TestParallelMulIntoAllocsAcrossGC(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(5))
+	a, b := randDense(rng, 256, 256), randDense(rng, 256, 256)
+	dst := NewDense(256, 256)
+	withParallelism(t, 2, 0, func() {
+		MulInto(dst, a, b) // start the pool worker
+		n := testing.AllocsPerRun(20, func() {
+			runtime.GC()
+			MulInto(dst, a, b)
+		})
+		if n != 0 {
+			t.Fatalf("parallel MulInto 256² allocates %.1f allocs/op across GCs, want 0", n)
+		}
+	})
 }
 
 func TestMulTAIntoPanics(t *testing.T) {

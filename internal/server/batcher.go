@@ -24,9 +24,10 @@ import (
 //   - MaxInflight: a queued handler still holds its concurrency-limiter slot
 //     (it blocks inside the handler), so queued work counts against the
 //     shedding bound — the queue cannot grow past MaxInflight requests.
-//   - Timeouts / cancellation: a handler waiting on its result honours its
-//     request context; the flusher drops items whose context ended before
-//     the flush, so abandoned requests cost no compute.
+//   - Timeouts / cancellation: a late request is never enqueued, and a
+//     queued handler also waits on its context, answering 503 or 499 when it
+//     ends; the flusher drops items whose context ended before the flush, so
+//     abandoned requests cost no compute.
 //   - /refit: the whole fused pass runs under one s.mu read lock, so a model
 //     swap (write lock) never lands mid-flush — every response in a batch
 //     comes from one coherent (model, density, threshold) generation.
@@ -253,9 +254,9 @@ func (s *Server) serveBatched(w http.ResponseWriter, r *http.Request, kind reqKi
 		}
 		putReqScratch(sc)
 	case <-r.Context().Done():
-		// The timeout middleware has already answered the client; the flusher
-		// may still be writing into sc, so abandon it (see the ownership
-		// handshake above) — repooling here would be a use-after-free.
-		httpError(w, r, http.StatusServiceUnavailable, "request not served: %v", r.Context().Err())
+		// Deadline passed or client gone: 503 or 499. The flusher may still
+		// be writing into sc, so abandon it (see the ownership handshake
+		// above) — repooling here would be a use-after-free.
+		expired(w)
 	}
 }

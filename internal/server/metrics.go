@@ -204,6 +204,9 @@ func (s *statusRecorder) Write(p []byte) (int, error) {
 	return s.ResponseWriter.Write(p)
 }
 
+// Unwrap exposes the connection's writer to http.ResponseController.
+func (s *statusRecorder) Unwrap() http.ResponseWriter { return s.ResponseWriter }
+
 // instrument records per-route request counts, latency and the in-flight
 // gauge. It sits directly under requestID — outside the recoverer and the
 // shedding/timeout middlewares — so every request is measured with the status

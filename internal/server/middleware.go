@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -25,6 +23,8 @@ import (
 //
 // with /healthz, /readyz, /metrics and /debug/pprof bypassing the limiter and
 // timeout so probes and scrapes keep answering while the service sheds load.
+// Every layer runs on the connection's own goroutine: timeout only attaches a
+// deadline that handlers check, so a panic at any point unwinds to recoverer.
 // instrument sits outside the recoverer so panics, sheds and timeouts are all
 // counted with the status code the client actually received.
 
@@ -164,117 +164,96 @@ func maxBytes(n int64) middleware {
 // truthful without landing in the 5xx bucket the error-rate SLO burns on.
 const statusClientClosedRequest = 499
 
-// timeout bounds each request to d. The handler runs on its own goroutine
-// against a buffered response; if the deadline passes first the client gets
-// 503 (and the timeouts counter ticks) and the (context-cancelled) handler's
-// late output is discarded, so even CPU-bound handlers cannot wedge a
-// connection slot forever.
-//
-// The <-ctx.Done() arm also fires when the *client* disconnects (net/http
-// cancels the request context), which is not a server fault: those requests
-// tick the cancels counter, log at debug, and record 499 — counting them as
-// deadline 503s would inflate the timeouts counter and burn the error-rate
-// SLO on client behavior the server cannot control.
-//
-// Trade-off: answering the 503 returns from this middleware — and releases
-// the concurrency-limiter slot wrapping it — while the abandoned handler
-// goroutine keeps running until it next observes its cancelled context. So
-// under sustained timeouts MaxInflight bounds admitted requests, not
-// handlers still winding down; a handler that ignores its context can
-// accumulate. A panic raised after the deadline can no longer reach the
-// recoverer, so it is counted and logged here instead of being dropped.
-func timeout(d time.Duration, logger *slog.Logger, timeouts, cancels, panics *obs.Counter) middleware {
+// timeout gives each request a deadline d from its arrival. The handler runs
+// on the connection goroutine and checks the deadline itself (expired) after
+// decoding, before compute, while queued and in /refit; the response is the
+// last check (deadlineWriter). The connection read deadline is set to the
+// same instant, so a stalled body read fails there and frees the request's
+// MaxInflight slot. The trailing counter is unused: panics unwind to
+// recoverer, before the deadline or after it.
+func timeout(d time.Duration, logger *slog.Logger, timeouts, cancels, _ *obs.Counter) middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), d)
 			defer cancel()
+			dl, _ := ctx.Deadline()
+			_ = http.NewResponseController(w).SetReadDeadline(dl) // unsupported off a real connection
 			r = r.WithContext(ctx)
-			buf := &bufferedResponse{header: make(http.Header)}
-			done := make(chan struct{})
-			panicc := make(chan handlerPanic, 1)
-			go func() {
-				defer func() {
-					if p := recover(); p != nil {
-						panicc <- handlerPanic{val: p, stack: debug.Stack()}
-						return
-					}
-					close(done)
-				}()
-				next.ServeHTTP(buf, r)
-			}()
-			select {
-			case <-done:
-				buf.flushTo(w)
-			case hp := <-panicc:
-				panic(hp.val) // surface on the serving goroutine for recoverer
-			case <-ctx.Done():
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					timeouts.Inc()
-					httpError(w, r, http.StatusServiceUnavailable, "request timed out after %s", d)
-				} else {
-					cancels.Inc()
-					// The connection is gone; the write is for the status
-					// recorder, not the wire.
-					httpError(w, r, statusClientClosedRequest, "client closed request")
-					reqLogger(logger, r.Context()).Debug("client disconnected before response",
-						slog.String("method", r.Method), slog.String("path", r.URL.Path))
-				}
-				late := reqLogger(logger, r.Context()).With(
-					slog.String("method", r.Method), slog.String("path", r.URL.Path))
-				go func() {
-					select {
-					case hp := <-panicc:
-						if hp.val == http.ErrAbortHandler {
-							return
-						}
-						panics.Inc()
-						late.Error("panic in timed-out handler",
-							slog.Any("panic", hp.val),
-							slog.String("stack", string(hp.stack)))
-					case <-done:
-					}
-				}()
-			}
+			dw := &deadlineWriter{ResponseWriter: w, r: r, logger: logger, timeouts: timeouts, cancels: cancels}
+			next.ServeHTTP(dw, r)
+			dw.check() // a handler that stopped at its deadline returned unanswered
 		})
 	}
 }
 
-// handlerPanic carries a panic (and the stack where it was raised) off the
-// timeout middleware's handler goroutine.
-type handlerPanic struct {
-	val   any
-	stack []byte
+// deadlineWriter makes the response the deadline's last check: the first
+// WriteHeader or Write of a request whose context has ended is replaced by
+// its 503 or 499, and the handler's later writes fail.
+type deadlineWriter struct {
+	http.ResponseWriter
+	r                 *http.Request
+	logger            *slog.Logger
+	timeouts, cancels *obs.Counter
+	started, cut      bool // the response has begun; it is the deadline's answer
 }
 
-// bufferedResponse captures a handler's response so the timeout middleware
-// can atomically either flush it or replace it with a 503. Only the handler
-// goroutine touches it until done is signalled, so no locking is needed.
-type bufferedResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
+// check answers a request that has ended before its response began, and
+// reports whether the request was answered so. Past the deadline it is 503
+// and the timeouts counter; with the client gone, 499 and the cancels counter
+// (a disconnect is no server fault and must not burn the error-rate SLO). The
+// deadline is judged by the clock, not by ctx.Err(): a connection read
+// deadline that fires first makes net/http cancel the request context as if
+// the client had hung up, and that request still timed out.
+func (w *deadlineWriter) check() bool {
+	if w.started {
+		return w.cut
+	}
+	ctx := w.r.Context()
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		w.timeouts.Inc()
+		httpError(w.ResponseWriter, w.r, http.StatusServiceUnavailable, "request deadline exceeded")
+	} else if ctx.Err() != nil {
+		w.cancels.Inc()
+		// The connection is gone; the write is for the status recorder, not
+		// the wire.
+		httpError(w.ResponseWriter, w.r, statusClientClosedRequest, "client closed request")
+		reqLogger(w.logger, ctx).Debug("client disconnected before response",
+			slog.String("method", w.r.Method), slog.String("path", w.r.URL.Path))
+	} else {
+		return false
+	}
+	w.started, w.cut = true, true
+	return true
 }
 
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.code == 0 {
-		b.code = code
+func (w *deadlineWriter) WriteHeader(code int) {
+	if !w.check() {
+		w.started = true
+		w.ResponseWriter.WriteHeader(code)
 	}
 }
 
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	b.WriteHeader(http.StatusOK)
-	return b.body.Write(p)
+func (w *deadlineWriter) Write(b []byte) (int, error) {
+	if w.check() {
+		return 0, http.ErrHandlerTimeout
+	}
+	w.started = true
+	return w.ResponseWriter.Write(b)
 }
 
-func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
-	h := w.Header()
-	for k, vs := range b.header {
-		h[k] = vs
+// expired is the handlers' deadline check: it reports whether the request has
+// ended and was answered 503 or 499, and the handler then returns without
+// writing. Without the timeout middleware it is always false.
+func expired(w http.ResponseWriter) bool {
+	dw, ok := w.(*deadlineWriter)
+	return ok && dw.check()
+}
+
+// commitResponse exempts the rest of w's response from the deadline, once the
+// request has a side effect the client must hear about: a 503 in place of
+// that answer would be retried and the effect applied twice.
+func commitResponse(w http.ResponseWriter) {
+	if dw, ok := w.(*deadlineWriter); ok {
+		dw.started = true
 	}
-	if b.code != 0 {
-		w.WriteHeader(b.code)
-	}
-	_, _ = w.Write(b.body.Bytes())
 }

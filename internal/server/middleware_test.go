@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -275,10 +277,11 @@ func TestTimeoutDistinguishesClientCancel(t *testing.T) {
 	}
 }
 
-// TestTimeoutLogsLatePanic panics a handler after its deadline already
-// answered 503 and checks the panic is logged instead of silently dropped
-// (it can no longer reach the recoverer on the serving goroutine).
-func TestTimeoutLogsLatePanic(t *testing.T) {
+// TestLatePanicReachesRecoverer panics a handler after its deadline has
+// passed. The handler runs on the serving goroutine, so the panic unwinds to
+// the recoverer like any other: a 500, a panics tick and a logged stack, and
+// no deadline answer in its place.
+func TestLatePanicReachesRecoverer(t *testing.T) {
 	logBuf := &syncBuffer{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/late", func(w http.ResponseWriter, r *http.Request) {
@@ -286,8 +289,8 @@ func TestTimeoutLogsLatePanic(t *testing.T) {
 		panic("late panic after deadline")
 	})
 	m := testMetrics()
-	h := chain(mux, requestID, recoverer(discardLogger(), m.panics),
-		timeout(50*time.Millisecond, slog.New(slog.NewTextHandler(logBuf, nil)), m.timeouts, m.cancels, m.panics))
+	h := chain(mux, requestID, recoverer(slog.New(slog.NewTextHandler(logBuf, nil)), m.panics),
+		timeout(50*time.Millisecond, discardLogger(), m.timeouts, m.cancels, m.panics))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -296,15 +299,52 @@ func TestTimeoutLogsLatePanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("timed-out request: status %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("late panic: status %d, want 500", resp.StatusCode)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(logBuf.String(), "late panic after deadline") {
-		if time.Now().After(deadline) {
-			t.Fatalf("late panic never logged; log = %q", logBuf.String())
-		}
-		time.Sleep(10 * time.Millisecond)
+	if m.panics.Value() != 1 || m.timeouts.Value() != 0 {
+		t.Fatalf("panics = %d, timeouts = %d; want 1 and 0", m.panics.Value(), m.timeouts.Value())
+	}
+	logged := logBuf.String()
+	if !strings.Contains(logged, "late panic after deadline") || !strings.Contains(logged, "goroutine") {
+		t.Fatalf("late panic not logged with its stack; log = %q", logged)
+	}
+}
+
+// TestStalledBodyReleasesSlot sends request headers and then stalls the
+// body. The connection read deadline must cut the read at the request
+// deadline: the client gets 503 (a timeout, not a 400 or a client cancel)
+// and the lone MaxInflight slot is free for the next request.
+func TestStalledBodyReleasesSlot(t *testing.T) {
+	s, ts := resilientFixture(t, func(c *Config) {
+		c.MaxInflight = 1
+		c.RequestTimeout = 100 * time.Millisecond
+	})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /predict HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"instances\"")
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no response to the stalled request: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stalled body: status %d, want 503", resp.StatusCode)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("stalled body held the request for %s", elapsed)
+	}
+	if s.metrics.timeouts.Value() != 1 || s.metrics.cancels.Value() != 0 {
+		t.Fatalf("timeouts = %d, cancels = %d; want 1 and 0", s.metrics.timeouts.Value(), s.metrics.cancels.Value())
+	}
+	resp2, body := postJSON(t, ts.URL+"/predict", instancesRequest{Instances: [][]float64{{0.1, 0.2, 0.3}}})
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("request after the stalled one: %d %s, want 200", resp2.StatusCode, body)
 	}
 }
 

@@ -146,6 +146,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		samples[i] = data.Sample{X: x, Y: req.Labels[i], S: req.Sensitive[i]}
 	}
 
+	// Last deadline check: from here on the batch is durable, and the client
+	// hears so whatever the clock says.
+	if expired(w) {
+		return
+	}
+	commitResponse(w)
+
 	// Durability before acknowledgement: the batch goes to the write-ahead
 	// log first, and a log failure refuses the feedback outright — the
 	// client must never hold a 200 for a record a crash could lose.
@@ -229,8 +236,11 @@ func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusConflict, "no feedback buffered")
 	case err != nil:
 		s.recordRefitFailure(r.Context(), err)
-		httpError(w, r, http.StatusUnprocessableEntity, "refit failed, previous model still serving: %v", err)
+		if !expired(w) { // abandoned because the request ended: 503/499
+			httpError(w, r, http.StatusUnprocessableEntity, "refit failed, previous model still serving: %v", err)
+		}
 	default:
+		commitResponse(w) // the new model is live; the client must hear so
 		writeJSON(w, r, resp)
 	}
 }
@@ -277,11 +287,11 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 		opt, nn.TrainOpts{Epochs: oc.Epochs, BatchSize: oc.BatchSize, Fair: oc.Fair}, rng)
 	trainSpan.End()
 
-	// If the request died during training — the timeout middleware already
-	// answered 503, or the client hung up — the caller was told the refit
-	// failed, so swapping the candidate in later would contradict that
-	// answer. Abandon it (recorded on /info like any other failed refit).
-	// The async consumer runs on a background context and never trips this.
+	// If the request died during training — its deadline passed or the
+	// client hung up — the caller is answered 503 or 499, so swapping the
+	// candidate in would contradict that answer. Abandon it (recorded on
+	// /info like any other failed refit). The async consumer runs on a
+	// background context and never trips this.
 	if err := ctx.Err(); err != nil {
 		return refitResponse{}, fmt.Errorf("request cancelled during training, candidate abandoned: %w", err)
 	}

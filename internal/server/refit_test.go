@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"faction/internal/gda"
 	"faction/internal/mat"
@@ -171,11 +172,11 @@ func TestRefitRollbackOnNaNLoss(t *testing.T) {
 	}
 }
 
-// TestRefitAbandonedOnCancelledRequest drives handleRefit with an already-
-// cancelled request context — the state a /refit is in once the timeout
-// middleware has answered 503 (or the client hung up). The candidate must
-// be abandoned, never swapped in behind the caller's back, and the
-// abandonment must be visible on /info.
+// TestRefitAbandonedOnCancelledRequest drives handleRefit, behind the
+// timeout middleware, with an already-cancelled request context — the state
+// a /refit is in once its client has hung up. The candidate must be abandoned, never swapped in behind the
+// caller's back, the request answered 499 like any other cancelled one, and
+// the abandonment must be visible on /info.
 func TestRefitAbandonedOnCancelledRequest(t *testing.T) {
 	s, ts := resilientFixture(t, nil)
 	feedSamples(t, ts, 8)
@@ -186,9 +187,10 @@ func TestRefitAbandonedOnCancelledRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(req.Context())
 	cancel()
 	rec := httptest.NewRecorder()
-	s.handleRefit(rec, req.WithContext(ctx))
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("cancelled refit: status %d (%s), want 422", rec.Code, rec.Body)
+	h := timeout(time.Hour, discardLogger(), s.metrics.timeouts, s.metrics.cancels, nil)(http.HandlerFunc(s.handleRefit))
+	h.ServeHTTP(rec, req.WithContext(ctx))
+	if rec.Code != statusClientClosedRequest {
+		t.Fatalf("cancelled refit: status %d (%s), want 499", rec.Code, rec.Body)
 	}
 
 	info := getInfo(t, ts)

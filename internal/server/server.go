@@ -92,8 +92,10 @@ type Config struct {
 	// MaxInflight bounds concurrent requests; excess load is shed with
 	// 429 + Retry-After instead of queuing. Default 64; negative disables.
 	MaxInflight int
-	// RequestTimeout cuts a request off with 503 when it exceeds the
-	// deadline. Default 30s; negative disables.
+	// RequestTimeout is each request's deadline: 503 beyond it. Handlers
+	// check it cooperatively (after decoding, before compute, while queued,
+	// in /refit), so MaxBodyBytes bounds the compute between two checks.
+	// Default 30s; negative disables.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies. Default 8 MiB; negative disables.
 	MaxBodyBytes int64
@@ -485,7 +487,7 @@ func (s *Server) Handler() http.Handler {
 		inner = append(inner, limitConcurrency(n, s.metrics.shed))
 	}
 	if d := s.cfg.RequestTimeout; d > 0 {
-		inner = append(inner, timeout(d, s.cfg.Logger, s.metrics.timeouts, s.metrics.cancels, s.metrics.panics))
+		inner = append(inner, timeout(d, s.cfg.Logger, s.metrics.timeouts, s.metrics.cancels, nil))
 	}
 	if n := s.cfg.MaxBodyBytes; n > 0 {
 		inner = append(inner, maxBytes(n))
@@ -534,7 +536,7 @@ type instancesRequest struct {
 func (s *Server) decodeInstances(w http.ResponseWriter, r *http.Request, sc *reqScratch) bool {
 	sc.body.Reset()
 	if _, err := sc.body.ReadFrom(r.Body); err != nil {
-		badBody(w, r, err)
+		badBody(w, r, err) // a read cut by the deadline turns into its 503
 		return false
 	}
 	if err := parseInstances(sc); err != nil {
@@ -565,7 +567,7 @@ func (s *Server) decodeInstances(w http.ResponseWriter, r *http.Request, sc *req
 		}
 	}
 	sc.x = mat.Dense{Rows: n, Cols: dim, Data: sc.flat[:n*dim]}
-	return true
+	return !expired(w) // no forward pass or queue slot past the deadline
 }
 
 type predictResponse struct {
